@@ -10,10 +10,12 @@ the workload seed::
 
 ``prepare`` makes sure the trained models exist in ``$REPRO_MODEL_DIR``
 (training them there if missing).  ``run`` sets up one witness service,
-drives the work ``--seconds`` sets and prints one JSON result line.
-``--spawn-time`` is the parent's ``time.monotonic()`` just before it
-started this interpreter, so ``setup_s`` covers interpreter start,
-imports, model loading, provisioning and page generation.
+drives the work ``--seconds`` sets and prints one JSON result line;
+between scenarios it starts ``run --setup-only`` interpreters, which
+only set up and report ``setup_s``.  ``--spawn-time`` is the parent's
+``time.monotonic()`` just before it started this interpreter, so
+``setup_s`` covers interpreter start, imports, model loading,
+provisioning and page generation.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import itertools
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from dataclasses import dataclass
 
-from witbench.openloop import poisson_schedule, run_open_loop
 from witbench.oracle import intended_body, judge
 from witbench.probes import Probe
 from witbench.spans import frame_breakdown, layer_totals, self_times
@@ -35,6 +37,12 @@ from witbench.workloads import WORKLOADS, run_size, scenario_spec
 
 #: Spec seed of the warm-up page, outside every workload's page corpus.
 WARM_UP_SPEC_SEED = 999_999
+
+#: Set-up-only interpreters started between the measured scenarios.
+#: Set-up is half a second, mostly imports, and the machine's speed drifts
+#: over a run; set-ups spread over the whole measurement, like its
+#: frames, make their median a figure of the run and not of one moment.
+SETUP_REPEATS = 10
 
 #: Layers reported with calls, busy time per call and self time.
 TIMED_LAYERS = (
@@ -83,8 +91,6 @@ def prepare() -> int:
 class SessionResult:
     key: str
     script: str
-    started: float
-    decided: float
     times: object
     verdict: object
     certified: bool | None
@@ -94,21 +100,18 @@ class SessionResult:
 class Bench:
     """One witness service plus the pristine scenarios of a run."""
 
-    def __init__(self, workload, seed: int, pool: list, tracing: bool = False) -> None:
+    def __init__(self, workload, pool: list, tracing: bool = False) -> None:
         from repro.core.service import WitnessConfig, WitnessService
         from repro.crypto.ca import CertificateAuthority
         from repro.server.webserver import WebServer
 
         self.workload = workload
-        self.seed = seed
         self.pool = pool
         ca = CertificateAuthority()
         self.service = WitnessService(ca, WitnessConfig(batched=True))
         self.server = WebServer(ca)
         self.probe = Probe(tracing=tracing)
         self.service.on_frame(self.probe.on_frame)
-        # ``next`` on a count is atomic, so open-loop worker threads
-        # never share a session id.
         self._session_ids = itertools.count(1)
 
     def run_step(self, scenario, step: int, tag: str) -> SessionResult:
@@ -123,8 +126,6 @@ class Bench:
         intended = intended_body(page.form_values(), scenario.entries[step])
         session_id = next(self._session_ids)
         body = certified = server_ok = error = None
-        started = time.monotonic()
-        decided = started
         with self.probe.session(session_id) as times:
             try:
                 client = connect_guest(
@@ -139,17 +140,13 @@ class Bench:
                     body = run_script(scenario, step, client.browser, client.vspec)
                     if body is not None:
                         decision = client.extension.end_session(body)
-                        decided = time.monotonic()
                         certified = bool(decision.certified)
                         if decision.request is not None:
                             server_ok = bool(self.server.verify(decision.request))
                 finally:
                     client.close()
-                if body is None:
-                    decided = time.monotonic()
             except Exception as exc:  # noqa: BLE001 - a crash is a judged outcome
                 error = f"{type(exc).__name__}: {exc}"
-                decided = time.monotonic()
         verdict = judge(
             script,
             intended=None if script == "abandoning" else intended,
@@ -159,62 +156,39 @@ class Bench:
             error=error,
         )
         key = f"{scenario.spec.key}@{scenario.stack.name}/s{step}"
-        return SessionResult(key, script, started, decided, times, verdict, certified, error)
+        return SessionResult(key, script, times, verdict, certified, error)
 
 
-def warm_up(workload, seed: int) -> None:
+def warm_up(workload) -> None:
     """One untimed session on a throwaway service: first-call costs
     (lazy imports, arenas, glyph caches) are not charged to the run."""
     from repro.scenarios.spec import ScenarioSpec
 
     page = ScenarioSpec("letterbox", script="honest", seed=WARM_UP_SPEC_SEED).build()
-    bench = Bench(workload, seed, [page])
+    bench = Bench(workload, [page])
     with bench.service, bench.probe:
         bench.run_step(bench.pool[0], 0, "warm-up")
 
 
-def drive(bench: Bench, seconds: float, tag: str) -> tuple:
-    """Run the workload; returns ``(results, wall_s, extra)``.
+def drive(bench: Bench, seconds: float, tag: str, between=None) -> tuple:
+    """Run the workload's closed loop; returns ``(results, wall_s)``.
 
     The amount of work is fixed by ``seconds`` (:func:`run_size`).
+    ``between(k, count)``, when given, runs after scenario ``k`` of
+    ``count``; its time is not part of ``wall_s``.
     """
-    workload = bench.workload
-    count = run_size(workload, seconds)
-    if workload.loop == "closed":
-        results = []
-        begin = time.monotonic()
-        for k in range(count):
-            scenario = bench.pool[k]
-            for step in range(scenario.steps):
-                results.append(bench.run_step(scenario, step, f"{tag}{k}"))
-        end = max((r.decided for r in results), default=begin)
-        return results, end - begin, {"loop": "closed", "scenarios": count}
-
-    schedule = poisson_schedule(count, workload.rate, bench.seed)
-    workers = max(1, min(workload.workers, os.cpu_count() or 1))
-    origin = time.monotonic()
-    arrivals = run_open_loop(
-        schedule,
-        lambda i: bench.run_step(bench.pool[i], 0, f"{tag}{i}"),
-        workers=workers,
-    )
     results = []
-    for arrival in arrivals:
-        if arrival.error is not None:
-            raise arrival.error
-        result = arrival.value
-        result.started = arrival.due  # open loop: timed from the due time
-        results.append(result)
-    end = max(r.decided for r in results)
-    lateness = [a.lateness for a in arrivals]
-    return results, end - origin, {
-        "loop": "open",
-        "rate_per_s": workload.rate,
-        "workers": workers,
-        "arrivals": count,
-        "lateness_ms_max": max(lateness) * 1e3,
-        "lateness_ms_mean": sum(lateness) / len(lateness) * 1e3,
-    }
+    wall_s = 0.0
+    count = run_size(bench.workload, seconds)
+    for k in range(count):
+        scenario = bench.pool[k]
+        begin = time.monotonic()
+        for step in range(scenario.steps):
+            results.append(bench.run_step(scenario, step, f"{tag}{k}"))
+        wall_s += time.monotonic() - begin
+        if between is not None:
+            between(k, count)
+    return results, wall_s
 
 
 # -- metrics -------------------------------------------------------------------
@@ -231,7 +205,6 @@ def end_to_end(results: list, wall_s: float) -> tuple:
     completed = [r for r in results if r.error is None]
     frames = [ms for r in completed for ms in r.times.frame_ms]
     starts = [r.times.start_ms for r in completed if r.times.start_ms is not None]
-    sessions = [r.decided - r.started for r in completed]
     n = max(len(completed), 1)
     metrics = {
         "frame_ms.p50": (_percentile(frames, 50), "ms"),
@@ -239,13 +212,11 @@ def end_to_end(results: list, wall_s: float) -> tuple:
         "start_ms.p50": (_percentile(starts, 50), "ms"),
         "witness_s_per_session": (sum(r.times.witness_s for r in completed) / n, "s"),
         "sessions_per_s": (len(completed) / wall_s if wall_s > 0 else 0.0, "1/s"),
-        "session_s.p50": (_percentile(sessions, 50), "s"),
     }
     samples = {
         "frame_ms": len(frames),
         "start_ms": len(starts),
         "sessions": len(completed),
-        "session_s": len(sessions),
     }
     return metrics, samples
 
@@ -345,10 +316,20 @@ def environment(seed: int) -> dict:
     }
 
 
-def phase(bench: Bench, seconds: float, tag: str) -> tuple:
+def phase(bench: Bench, seconds: float, tag: str, between=None) -> tuple:
     with bench.service, bench.probe:
-        results, wall_s, extra = drive(bench, seconds, tag)
-    return results, wall_s, extra
+        return drive(bench, seconds, tag, between)
+
+
+def set_up_elsewhere(args) -> float:
+    """``setup_s`` of a fresh set-up-only interpreter of this run."""
+    command = [
+        sys.executable, "-m", "witbench.driver", "run", "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+        "--setup-only", "--spawn-time", repr(time.monotonic()),
+    ]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
 
 
 def accounting(results: list) -> dict:
@@ -366,15 +347,22 @@ def run(args) -> int:
     count = run_size(workload, args.seconds)
     pool = [scenario_spec(workload, args.seed, k).build() for k in range(count)]
     # The measured service is provisioned as part of set-up.
-    bench = Bench(workload, args.seed, pool)
+    bench = Bench(workload, pool)
     setup_s = time.monotonic() - args.spawn_time
     if args.setup_only:
         bench.service.close()
         print(json.dumps({"setup_s": setup_s}))
         return 0
-    warm_up(workload, args.seed)
+    warm_up(workload)
 
-    results, wall_s, extra = phase(bench, args.seconds, "a")
+    setups = [setup_s]
+
+    def between(k: int, count: int) -> None:
+        # SETUP_REPEATS set-ups, spread evenly over the scenarios.
+        for _ in range(SETUP_REPEATS * (k + 1) // count - SETUP_REPEATS * k // count):
+            setups.append(set_up_elsewhere(args))
+
+    results, wall_s = phase(bench, args.seconds, "a", between)
     metrics, samples = end_to_end(results, wall_s)
     sessions = [
         {"key": r.key, "script": r.script, "certified": r.certified,
@@ -384,9 +372,9 @@ def run(args) -> int:
     ]
     out = {
         "workload": workload.name,
-        "setup_s": setup_s,
+        "setup_runs": setups,
         "wall_s": wall_s,
-        "loop": extra,
+        "scenarios": count,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
         "samples": samples,
         **accounting(results),
@@ -396,12 +384,11 @@ def run(args) -> int:
     if args.trace:
         # A fresh service, so the traced phase starts from cold caches
         # exactly as the untraced one did.
-        bench = Bench(workload, args.seed, pool, tracing=True)
-        traced, t_wall, t_extra = phase(bench, args.seconds, "b")
+        bench = Bench(workload, pool, tracing=True)
+        traced, t_wall = phase(bench, args.seconds, "b")
         layer_metrics, spans, stage_self = per_layer(bench, traced, metrics["frame_ms.p50"][0])
         out["traced"] = {
             "wall_s": t_wall,
-            "loop": t_extra,
             "metrics": {k: {"value": v, "unit": u} for k, (v, u) in layer_metrics.items()},
             "stage_self_ms_per_session": stage_self,
             **accounting(traced),

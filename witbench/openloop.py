@@ -9,6 +9,10 @@ generator that cannot keep its schedule shows in the data.
 
 The clock and the sleep function are injectable so the timing rules can
 be tested under a fake clock.
+
+No workload of the benchmark drives it yet: the open-loop ``arrivals``
+workload was too unsteady at a run length the benchmark can afford (see
+``witbench/README.md``).
 """
 
 from __future__ import annotations

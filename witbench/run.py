@@ -6,19 +6,18 @@ lives in)::
     python3 witbench/run.py --workload scroll-tall --seed 0 --seconds 30 --trace 0
 
 Workloads (see ``witbench/README.md``): ``scroll-tall`` and
-``short-forms`` (the benchmark's), and ``arrivals`` (run by hand with a
-longer ``--seconds``).  Each run
+``short-forms``.  Each run
 
 1. makes sure the witness's trained models exist in the checkout's
    ``.witbench/models`` (``$REPRO_MODEL_DIR``), training them there on
    the first run -- outside ``setup_s``;
-2. sets up the workload in ``SETUP_REPEATS`` fresh interpreters (the
-   measured one and set-up-only ones) and reports the median as
-   ``setup_s``;
-3. drives the work ``--seconds`` sets (about that long on a 2-core
-   machine; see ``workloads.run_size``) in the measured interpreter,
-   judging every session with the session oracle;
-4. prints every metric by name and unit, the sessions attempted and
+2. sets up the workload in a fresh interpreter that then drives the
+   work ``--seconds`` sets (about that long on a 2-core machine; see
+   ``workloads.run_size``), judging every session with the session
+   oracle; between its scenarios it sets the workload up again in
+   fresh set-up-only interpreters (``driver.SETUP_REPEATS``), and
+   ``setup_s`` is the median of all these set-ups;
+3. prints every metric by name and unit, the sessions attempted and
    failed, and the environment, then one JSON line: the end-to-end
    metrics with ``--trace 0``, the per-layer metrics with ``--trace 1``.
 
@@ -43,9 +42,6 @@ sys.path.insert(0, ROOT)
 
 from witbench.workloads import WORKLOADS  # noqa: E402 - needs ROOT on sys.path
 
-#: Set-up measurements per run (``setup_s`` is their median).
-SETUP_REPEATS = 5
-
 #: A run, model training excepted, must end within this many seconds.
 RUN_BUDGET_S = 170.0
 #: First-run model training may take this long.
@@ -68,8 +64,6 @@ def child_env(hash_seed: int) -> dict:
 
 def run_child(args: list, env: dict, timeout: float) -> dict:
     """Run ``python3 -m witbench.driver ARGS``; returns its last JSON line."""
-    if timeout <= 0:
-        raise RuntimeError("out of time before starting the next workload process")
     proc = subprocess.run(
         [sys.executable, "-m", "witbench.driver", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout,
@@ -98,13 +92,13 @@ def commit() -> str:
 
 def report(result: dict, setups: list, trace: bool) -> None:
     """Print every metric by name and unit, and the session accounting."""
-    print(f"workload {result['workload']}  ({result['loop']['loop']} loop)")
+    print(f"workload {result['workload']}  ({result['scenarios']} scenarios, closed loop)")
     print(f"  setup_s = {statistics.median(setups):.4f} s  (median of {len(setups)}: "
           + ", ".join(f"{s:.4f}" for s in setups) + ")")
     samples = result["samples"]
     counts = {
         "frame_ms.p50": samples["frame_ms"], "frame_ms.p95": samples["frame_ms"],
-        "start_ms.p50": samples["start_ms"], "session_s.p50": samples["session_s"],
+        "start_ms.p50": samples["start_ms"],
         "witness_s_per_session": samples["sessions"], "sessions_per_s": samples["sessions"],
     }
     for name, metric in result["metrics"].items():
@@ -116,17 +110,9 @@ def report(result: dict, setups: list, trace: bool) -> None:
     for session in result["sessions"]:
         if not session["ok"]:
             print(f"    FAILED {session['key']}: {session['reason']}")
-    loop = result["loop"]
-    if loop["loop"] == "open":
-        print(f"  arrivals = {loop['arrivals']} at {loop['rate_per_s']}/s on "
-              f"{loop['workers']} threads; generator lateness max "
-              f"{loop['lateness_ms_max']:.3f} ms, mean {loop['lateness_ms_mean']:.3f} ms")
     if trace:
         traced = result["traced"]
         print("  traced run (per layer):")
-        if loop["loop"] == "open":
-            print(f"  note: busy and self times on {result['workload']} include waiting "
-                  f"for the GIL ({loop['workers']} worker threads)")
         for name, metric in traced["metrics"].items():
             print(f"    {name} = {metric['value']:.4f} {metric['unit']}")
         ranking = sorted(traced["stage_self_ms_per_session"].items(), key=lambda kv: -kv[1])
@@ -164,31 +150,22 @@ def main(argv=None) -> int:
         # Models are trained under a fixed hash seed: rendering noise, and
         # so the training set, depends on it.
         run_child(["prepare"], child_env(0), PREPARE_BUDGET_S)
-        started = time.monotonic()
-        env = child_env(args.seed)
-        common = ["--workload", args.workload, "--seed", str(args.seed),
-                  "--seconds", str(args.seconds), "--trace", str(args.trace)]
-        setups = []
-        for _ in range(SETUP_REPEATS - 1):
-            remaining = RUN_BUDGET_S - (time.monotonic() - started)
-            out = run_child(["run", *common, "--setup-only", "--spawn-time",
-                             repr(time.monotonic())], env, remaining)
-            setups.append(out["setup_s"])
-        remaining = RUN_BUDGET_S - (time.monotonic() - started)
         result = run_child(
-            ["run", *common, "--out", os.path.join(ROOT, ".witbench", "out"),
+            ["run", "--workload", args.workload, "--seed", str(args.seed),
+             "--seconds", str(args.seconds), "--trace", str(args.trace),
+             "--out", os.path.join(ROOT, ".witbench", "out"),
              "--spawn-time", repr(time.monotonic())],
-            env, remaining,
+            child_env(args.seed), RUN_BUDGET_S,
         )
     except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError, KeyError) as exc:
         return fail(str(exc), 1)
-    setups.append(result["setup_s"])
+    setups = result["setup_runs"]
     result["environment"]["commit"] = commit()
 
     report(result, setups, bool(args.trace))
     results_dir = os.path.join(ROOT, ".witbench", "results")
     os.makedirs(results_dir, exist_ok=True)
-    record = dict(result, setup_runs=setups, seconds=args.seconds, trace=args.trace)
+    record = dict(result, seconds=args.seconds, trace=args.trace)
     name = f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     with open(os.path.join(results_dir, name), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -5,9 +5,8 @@ The program under test receives only the generated scenarios
 reaches it.  Scenario ``k`` of a workload always renders the same page
 (spec seed ``k``): the page corpus is fixed, so runs at different seeds
 compare like with like.  The workload seed drives everything else that
-is random -- the witness's sampling schedule (``sampler_seed``), the
-rendering noise (the workload process's ``PYTHONHASHSEED``) and, on
-``arrivals``, the arrival times.
+is random -- the witness's sampling schedule (``sampler_seed``) and the
+rendering noise (the workload process's ``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
@@ -17,13 +16,6 @@ from dataclasses import dataclass
 #: Stride between the sampler seeds of two workload seeds.
 SEED_STRIDE = 1_000_003
 
-#: The six named rendering stacks, in rotation order (``arrivals``).
-NAMED_STACKS = (
-    "gecko-windows", "gecko-macos", "blink-windows",
-    "blink-macos", "webkit-macos", "webkit-windows",
-)
-
-
 #: The guest display of the paper's Table VIII/IX Jotform sessions: most
 #: Jotform pages fit it without scrolling.
 TABLE_IX_DISPLAY = (640, 600)
@@ -31,19 +23,14 @@ TABLE_IX_DISPLAY = (640, 600)
 
 @dataclass(frozen=True)
 class Workload:
+    """A closed loop on one thread: the next session starts when the last ends."""
+
     name: str
-    #: ``closed``: one thread, the next scenario starts when the last ends.
-    #: ``open``: Poisson arrivals at ``rate`` on ``workers`` threads.
-    loop: str
     archetypes: tuple
     scripts: tuple
-    #: Closed loop: seconds one cycle of the scenario list took on a
-    #: 2-core machine (sets how many cycles a run of ``--seconds`` does).
-    cycle_s: float = 0.0
-    #: Open loop: arrivals per second.
-    rate: float = 0.0
-    #: Worker threads (open loop only; capped at the machine's cores).
-    workers: int = 1
+    #: Seconds one cycle of the scenario list took on a 2-core machine
+    #: (sets how many cycles a run of ``--seconds`` does).
+    cycle_s: float
 
 
 WORKLOADS = {
@@ -53,7 +40,6 @@ WORKLOADS = {
             # Pages 2-5x taller than the display: viewport search (locate)
             # dominates witness time.
             "scroll-tall",
-            loop="closed",
             archetypes=("tall-form", "nested-scroll", "dashboard"),
             scripts=("honest", "tampered"),
             cycle_s=36.0,
@@ -62,21 +48,9 @@ WORKLOADS = {
             # Pages that fit the display: pof and diff together outweigh
             # locate; the bypass workload for a locate change.
             "short-forms",
-            loop="closed",
             archetypes=("wizard", "letterbox", "mixed-stack"),
             scripts=("honest", "slow-typist", "tampered", "abandoning"),
             cycle_s=15.0,
-        ),
-        Workload(
-            # Concurrent Jotform sessions sharing one service's digest
-            # cache and session registry (not in BENCHMARK.json: see the
-            # README).
-            "arrivals",
-            loop="open",
-            archetypes=("mixed-stack",),
-            scripts=("honest",),
-            rate=0.25,
-            workers=2,
         ),
     )
 }
@@ -85,10 +59,9 @@ WORKLOADS = {
 def scenario_spec(workload: Workload, seed: int, k: int):
     """The ``k``-th scenario of a run of ``workload`` at ``seed``.
 
-    Closed loops interleave archetypes first and scripts second, so any
-    prefix of a run mixes every archetype.  Jotform pages are shown on
-    the Table IX display; ``arrivals`` renders them on the named stacks
-    in rotation.
+    Archetypes are interleaved first and scripts second, so any prefix
+    of a run mixes every archetype.  Jotform pages are shown on the
+    Table IX display.
     """
     from repro.scenarios.spec import ScenarioSpec
 
@@ -97,11 +70,6 @@ def scenario_spec(workload: Workload, seed: int, k: int):
     sampler_seed = seed * SEED_STRIDE + k * 977
     # Jotform pages (``mixed-stack``) on the Table IX display, so they fit.
     display = TABLE_IX_DISPLAY if archetype == "mixed-stack" else None
-    if workload.loop == "open":
-        return ScenarioSpec(
-            archetype, script=script, seed=k, sampler_seed=sampler_seed,
-            stack_name=NAMED_STACKS[k % len(NAMED_STACKS)], display=display,
-        )
     return ScenarioSpec(
         archetype, script=script, seed=k, sampler_seed=sampler_seed, display=display
     )
@@ -110,13 +78,10 @@ def scenario_spec(workload: Workload, seed: int, k: int):
 def run_size(workload: Workload, seconds: float) -> int:
     """Scenarios one run of ``--seconds`` drives: a fixed amount of work.
 
-    A closed loop runs whole cycles of its scenario list -- as many as
-    took about ``seconds`` on a 2-core machine, at least one -- so every
-    run drives each (archetype, script) pair equally often and a faster
-    or slower program does the same work.  An open loop schedules
-    ``rate * seconds`` arrivals.
+    A run is whole cycles of the scenario list -- as many as took about
+    ``seconds`` on a 2-core machine, at least one -- so every run drives
+    each (archetype, script) pair equally often and a faster or slower
+    program does the same work.
     """
-    if workload.loop == "closed":
-        cycle = len(workload.archetypes) * len(workload.scripts)
-        return cycle * max(1, round(seconds / workload.cycle_s))
-    return max(1, round(workload.rate * seconds))
+    cycle = len(workload.archetypes) * len(workload.scripts)
+    return cycle * max(1, round(seconds / workload.cycle_s))
