@@ -205,7 +205,7 @@ class DisplayValidator:
                 )
                 self._padded_key = pad_key
             expected = self._padded_expected
-        match = best_vertical_offset(frame_pixels, expected, stride=4)
+        match = best_vertical_offset(frame_pixels, expected)
         return match.offset, match.score
 
     # -- validation --------------------------------------------------------------
@@ -299,7 +299,8 @@ class DisplayValidator:
                 emit(result, text_verdicts, image_verdicts)
 
         if self.check_background and changed_rects is None:
-            self._validate_background(clean, offset, viewport, result)
+            with maybe_span(self.tracer, "frame.background"):
+                self._validate_background(clean, offset, viewport, result)
 
         result.plan_text_units = plan.text_unit_count
         result.plan_image_pairs = plan.image_pair_count
@@ -547,7 +548,7 @@ class DisplayValidator:
             return
         # Align widths (border crop makes the interior 2px narrower).
         expected_view = expected[:, 1 : 1 + interior.shape[1]] if pad_w else expected
-        match = best_vertical_offset(interior, expected_view, stride=2)
+        match = best_vertical_offset(interior, expected_view)
         if match.score < VIEWPORT_SCORE_FLOOR:
             deferred.append(
                 _fixed_failure(

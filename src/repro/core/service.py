@@ -971,7 +971,10 @@ class WitnessSession:
             pixels = faults.corrupt_frame(pixels)
             self.report.frames_corrupted += 1
 
-        changed = self._diff.changed(pixels) if self._diff is not None else None
+        changed = None
+        if self._diff is not None:
+            with maybe_span(self._tracer, "frame.diff"):
+                changed = self._diff.changed(pixels)
         nothing_changed = changed is not None and len(changed) == 0
 
         if nothing_changed and not self._tracker.has_pending:
@@ -993,18 +996,22 @@ class WitnessSession:
                     self._record_violation(Violation("viewport", str(exc)))
                     self._finish_frame(result, now_ms, t0, violations_before)
                     return result
-                input_rects_frame = [
-                    Rect(e.rect.x, e.rect.y - offset, e.rect.w, e.rect.h)
-                    for e in self.vspec.input_entries()
-                    if e.rect.y2 - offset > 0 and e.rect.y - offset < pixels.shape[0]
-                ]
-                pof_obs = extract_pofs(pixels, self.config.pof_style, input_rects=input_rects_frame)
-                if pof_obs.present:
-                    for violation in check_pof_consistency(pof_obs, input_rects_frame):
-                        self._record_violation(Violation("pof-consistency", violation))
-                self._tracker.on_frame(
-                    pixels, offset, pof_obs, self._last_sample_ms, now_ms
-                )
+                with maybe_span(self._tracer, "frame.pof"):
+                    input_rects_frame = [
+                        Rect(e.rect.x, e.rect.y - offset, e.rect.w, e.rect.h)
+                        for e in self.vspec.input_entries()
+                        if e.rect.y2 - offset > 0 and e.rect.y - offset < pixels.shape[0]
+                    ]
+                    pof_obs = extract_pofs(
+                        pixels, self.config.pof_style, input_rects=input_rects_frame
+                    )
+                    if pof_obs.present:
+                        for violation in check_pof_consistency(pof_obs, input_rects_frame):
+                            self._record_violation(Violation("pof-consistency", violation))
+                with maybe_span(self._tracer, "frame.track"):
+                    self._tracker.on_frame(
+                        pixels, offset, pof_obs, self._last_sample_ms, now_ms
+                    )
                 result = self._display.validate(
                     pixels,
                     tracked_inputs=self._tracker.tracked,

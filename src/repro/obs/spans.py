@@ -1,8 +1,9 @@
 """Frame-span tracing: per-stage latency of a frame's life as a tree.
 
-A sampled frame flows ``frame.sample`` → ``frame.locate`` →
-``plan.collect`` → ``plan.execute`` → per-kind ``forward.*`` /
-``runtime.submit.*`` / ``flush.wait.*`` → ``verdict.scatter``.  A
+A sampled frame flows ``frame.sample`` → ``frame.diff`` →
+``frame.locate`` → ``frame.pof`` → ``frame.track`` → ``plan.collect`` →
+``plan.execute`` → per-kind ``forward.*`` / ``runtime.submit.*`` /
+``flush.wait.*`` → ``verdict.scatter`` → ``frame.background``.  A
 :class:`SpanTracer` times each stage with :func:`time.perf_counter`
 (wall time never enters a verdict or fingerprint) and records two
 things per span:
@@ -67,7 +68,10 @@ SPAN_PREFIX = "span_ms."
 STAGES = (
     "frame",
     "frame.sample",
+    "frame.diff",
     "frame.locate",
+    "frame.pof",
+    "frame.track",
     "plan.collect",
     "plan.execute",
     "forward.text",
@@ -77,6 +81,7 @@ STAGES = (
     "flush.wait.text",
     "flush.wait.image",
     "verdict.scatter",
+    "frame.background",
 )
 
 

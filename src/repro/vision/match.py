@@ -14,6 +14,10 @@ import numpy as np
 
 from repro.vision.image import as_array
 
+#: Windows with variance under this fraction of the centred page's sum of
+#: squares are below running-sum rounding: they are scored directly.
+_FLAT_FRACTION = 1e-5
+
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -49,18 +53,57 @@ def normalized_cross_correlation(patch_a, patch_b) -> float:
     return float((a @ b) / denom)
 
 
-def best_vertical_offset(frame, long_image, stride: int = 1) -> MatchResult:
+def vertical_ncc_scores(frame, long_image) -> np.ndarray:
+    """NCC of ``frame`` against every vertical window of ``long_image``.
+
+    Entry ``o`` equals ``normalized_cross_correlation(frame,
+    long_image[o : o + frame_height])``, computed for all offsets at once
+    with the fast NCC of J. P. Lewis (1995): the numerators are the
+    diagonal sums of one GEMM, ``G = L @ (f - f.mean()).T``, and the
+    window sums and sums of squares come from cumulative row sums of the
+    page centred on its mean (centring keeps the subtraction from
+    cancelling catastrophically on tall pages).  Blank and nearly blank
+    windows, whose variance the running sums cannot resolve, are scored
+    directly, so they keep the constant-strip intensity fallback; a
+    constant frame scores every window by that fallback.  Scores are
+    clipped to [-1, 1].
+    """
+    f = as_array(frame)
+    page = as_array(long_image)
+    n = f.shape[0]
+    n_off = page.shape[0] - n + 1
+    if f.min() == f.max():
+        # Constant frame: a window matches if all its pixels are close.
+        bad = np.abs(page - f[0, 0]) > 2.0 + 1e-5 * np.abs(page)
+        bad_rows = np.concatenate(([0], np.cumsum(bad.any(axis=1))))
+        return (bad_rows[n:] == bad_rows[:n_off]).astype(page.dtype)
+    fc = f - f.mean()
+    fvar = float(np.vdot(fc, fc))
+    lc = page - page.mean()
+    g = lc @ fc.T
+    diagonals = np.lib.stride_tricks.as_strided(
+        g, shape=(n_off, n), strides=(g.strides[0], g.strides[0] + g.strides[1])
+    )
+    numerator = diagonals.sum(axis=1)
+    sums = np.concatenate(([0.0], np.cumsum(lc.sum(axis=1))))
+    squares = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", lc, lc))))
+    window_sum = sums[n:] - sums[:n_off]
+    wvar = squares[n:] - squares[:n_off] - window_sum * window_sum / f.size
+    flat = wvar <= _FLAT_FRACTION * squares[-1]
+    scores = numerator / np.sqrt(fvar * np.where(flat, 1.0, wvar))
+    for off in np.flatnonzero(flat):
+        scores[off] = normalized_cross_correlation(f, page[off : off + n])
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def best_vertical_offset(frame, long_image) -> MatchResult:
     """Locate ``frame`` inside ``long_image`` by vertical offset.
 
     ``long_image`` must have the same width as ``frame`` and at least its
     height (the VSPEC expected appearance is rendered at the client width,
-    at the page's full height).  Returns the offset of the best NCC match.
-
-    A coarse pass on ``stride``-fold downsampled pixels (2-D, so
-    horizontal structure still discriminates on vertically periodic
-    layouts) narrows the candidate offsets, then full-resolution NCC
-    ranks the survivors — the same coarse-to-fine strategy OpenCV users
-    reach for with ``matchTemplate`` on large pages.
+    at the page's full height).  The search is exhaustive and exact: it
+    returns the offset with the best NCC of all (see
+    :func:`vertical_ncc_scores`), and ties go to the lowest offset.
     """
     f = as_array(frame)
     long_arr = as_array(long_image)
@@ -72,60 +115,16 @@ def best_vertical_offset(frame, long_image, stride: int = 1) -> MatchResult:
         raise ValueError(
             f"frame height {f.shape[0]} exceeds expected appearance height {long_arr.shape[0]}"
         )
-    max_off = long_arr.shape[0] - f.shape[0]
-    if max_off == 0:
+    if f.shape[0] == long_arr.shape[0]:
         return MatchResult(0, normalized_cross_correlation(f, long_arr))
-
-    # Coarse pass: NCC on pixels downsampled ``stride``-fold in *both*
-    # axes.  Row-mean profiles are not enough here: they are blind to
-    # horizontal structure, and on pages with near-periodic vertical
-    # layout (tall forms: label + box + spacing repeats every ~60px)
-    # profile aliasing can rank the true offset below a dozen impostors,
-    # sending the fine pass to the wrong neighbourhood entirely.  The
-    # final offset (the page bottom) is always included — it is the one
-    # position striding can otherwise skip.
-    n = f.shape[0]
-    f_ds = f[::stride, ::stride]
-    fd = f_ds - f_ds.mean()
-    fvar = float((fd * fd).sum())
-    candidates = []
-    offsets = list(range(0, max_off + 1, stride))
-    if offsets[-1] != max_off:
-        offsets.append(max_off)
-    for off in offsets:
-        seg = long_arr[off : off + n : stride, ::stride]
-        sd = seg - seg.mean()
-        svar = float((sd * sd).sum())
-        if fvar < 1e-12 and svar < 1e-12:
-            # Two blank strips: match them by mean intensity instead.
-            score = 1.0 if abs(float(f_ds.mean()) - float(seg.mean())) < 2.0 else 0.0
-        elif fvar < 1e-12 or svar < 1e-12:
-            score = 0.0
-        else:
-            score = float((fd * sd).sum() / np.sqrt(fvar * svar))
-        candidates.append((score, off))
-    candidates.sort(reverse=True)
-
-    # Fine pass: full NCC on the top coarse candidates (and stride neighbours).
-    seen: set[int] = set()
-    best = MatchResult(0, -2.0)
-    for _score, off in candidates[:12]:
-        for fine in range(max(0, off - stride), min(max_off, off + stride) + 1):
-            if fine in seen:
-                continue
-            seen.add(fine)
-            score = normalized_cross_correlation(f, long_arr[fine : fine + n])
-            if score > best.score:
-                best = MatchResult(fine, score)
-    return best
+    scores = vertical_ncc_scores(f, long_arr)
+    offset = int(np.argmax(scores))
+    return MatchResult(offset, float(scores[offset]))
 
 
-def best_horizontal_offset(frame, wide_image, stride: int = 1) -> MatchResult:
+def best_horizontal_offset(frame, wide_image) -> MatchResult:
     """Horizontal analogue of :func:`best_vertical_offset` (scrollable rows)."""
-    f = as_array(frame)
-    wide = as_array(wide_image)
-    result = best_vertical_offset(f.T, wide.T, stride=stride)
-    return MatchResult(result.offset, result.score)
+    return best_vertical_offset(as_array(frame).T, as_array(wide_image).T)
 
 
 def match_template(image, template, threshold: float = 0.95) -> list[tuple[int, int, float]]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.caches import DigestCache
-from repro.core.display import DisplayValidator
+from repro.core.display import VIEWPORT_SCORE_FLOOR, DisplayValidator
 from repro.core.verifiers import ImageVerifier, TextVerifier
 from repro.raster.stacks import stack_registry
 from repro.server.generate import build_vspec
@@ -118,7 +118,7 @@ class TestBenignFrames:
     def test_periodic_tall_form_locates_offset_when_filled(self, text_model, image_model):
         """Soak regression: a near-periodic tall form with typed values
         must still locate the true viewport when the tracker's state is
-        supplied (the stateful expected appearance + the 2-D coarse pass)."""
+        supplied (the stateful expected appearance + the exhaustive search)."""
         fields = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
         page = Page(
             title="Periodic",
@@ -143,6 +143,22 @@ class TestBenignFrames:
         )
         assert offset == browser.scroll_y
         assert score > 0.9
+
+    def test_foreign_page_frame_has_no_viewport_match(self, text_model, image_model):
+        """The exhaustive search still refuses a frame of another page."""
+        topics = [f"Section {i}: terms and conditions apply" for i in range(12)]
+        page = Page(title="Tall", width=640, elements=[TextBlock(t, 14) for t in topics])
+        vspec = build_vspec(copy.deepcopy(page), "tall")
+        machine = Machine(640, 300)
+        Browser(machine, _page(), stack=stack_registry()[2]).paint()
+        validator = DisplayValidator(
+            vspec, TextVerifier(text_model, batched=True), ImageVerifier(image_model, batched=True)
+        )
+        assert vspec.height > 300
+        result = validator.validate(machine.sample_framebuffer().pixels)
+        assert not result.ok
+        assert result.viewport_score < VIEWPORT_SCORE_FLOOR
+        assert result.failures[0].reason.startswith("no viewport match")
 
     def test_stateful_expected_replaces_prefilled_value(self, text_model, image_model):
         """A prefilled input whose value the user changes must compose the

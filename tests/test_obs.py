@@ -15,6 +15,7 @@ The contract under test has two halves:
 import json
 import re
 import threading
+from collections import Counter
 
 from repro.core.caches import DigestCache
 from repro.core.service import WitnessConfig, WitnessService
@@ -253,6 +254,27 @@ def test_traced_session_produces_canonical_spans(text_model, image_model):
             # Parentage is either the synthetic root or another stage
             # recorded in this frame's tree vocabulary.
             assert span["parent"] in STAGES
+
+
+def test_frame_stages_recorded_once_per_validated_frame(text_model, image_model):
+    spec = ScenarioSpec("nested-scroll", script="honest")
+    off, _ = _run(spec, text_model, image_model, tracing=False)
+    on, service = _run(spec, text_model, image_model, tracing=True)
+    assert on.fingerprint == off.fingerprint
+    counts = {stage: snap["count"] for stage, snap in span_snapshots(service.span_metrics).items()}
+    # The differential detector sees every frame; a frame it finds
+    # unchanged with nothing pending skips locate, pof and track.
+    assert counts["frame.diff"] == counts[ROOT_STAGE] == on.frames
+    validated = counts["frame.locate"]
+    assert 0 < validated <= on.frames
+    assert counts["frame.pof"] == counts["frame.track"] == validated
+    # The background check runs on full validations only: the first
+    # frame of each session, before the detector has a previous frame.
+    assert counts["frame.background"] == on.sessions
+    for frame in service.flight_recorder.snapshot():
+        stages = Counter(span["stage"] for span in frame["spans"])
+        assert stages["frame.diff"] == 1
+        assert stages["frame.pof"] == stages["frame.track"] == stages["frame.locate"] <= 1
 
 
 def test_traced_spans_thread_confinement_shared_executor(text_model, image_model):
