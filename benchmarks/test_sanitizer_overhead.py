@@ -1,7 +1,8 @@
 """witness-san overhead: soak sessions/sec with the sanitizer on vs off.
 
-Drives the same soak slice twice through the shared-executor baseline
-combo — once disarmed, once with :mod:`repro.analysis.sanitizer` armed —
+Drives the same soak slice twice through the batched inline baseline
+combo on two driver threads — once disarmed, once with
+:mod:`repro.analysis.sanitizer` armed —
 and records both rates plus the relative overhead into
 ``bench_summary.json``.  The armed run must stay clean (no lock-order
 inversions, no unmodeled edges, no cross-thread pool checkouts against
@@ -37,12 +38,12 @@ def _disarmed_reserve_ns(iters: int = 20000) -> float:
 
 def test_sanitizer_overhead(scale, text_model, image_model):
     from repro.analysis import sanitizer
-    from repro.scenarios import baseline_combo, default_soak_specs, run_soak
+    from repro.scenarios import ENGINE_COMBOS, default_soak_specs, run_soak
 
     specs = default_soak_specs()
     if scale["name"] != "paper":
         specs = specs[:4]
-    baseline = baseline_combo("shared", "frozen")
+    baseline = ENGINE_COMBOS[0]
 
     def drive():
         return run_soak(
@@ -67,7 +68,7 @@ def test_sanitizer_overhead(scale, text_model, image_model):
 
     content = "\n".join(
         [
-            "witness-san overhead (shared/frozen baseline, 2 driver threads)",
+            "witness-san overhead (batched inline baseline, 2 driver threads)",
             f"scenarios: {off.scenarios}  sessions: {off.sessions_total}",
             f"sessions/s disarmed: {off_sps:.2f}   armed: {on_sps:.2f}   "
             f"overhead: {overhead_pct:+.1f}%",

@@ -16,18 +16,14 @@ from benchmarks.harness import run_fleet_sessions
 MIN_CONCURRENT_SESSIONS = 8
 
 
-def test_service_session_throughput(
-    benchmark, scale, text_model, image_model, executor_mode, inference_mode
-):
+def test_service_session_throughput(benchmark, scale, text_model, image_model):
     n = max(MIN_CONCURRENT_SESSIONS, scale["perf_pages"])
 
     def run():
         out = {}
         for label, threads in (("sequential", 1), ("8 threads", 8)):
             fleet = run_fleet_sessions(
-                n, text_model, image_model, threads=threads, batched=True,
-                executor=executor_mode,
-                config_overrides={"inference": inference_mode},
+                n, text_model, image_model, threads=threads, batched=True
             )
             decisions, service, peak, wall = (
                 fleet.decisions, fleet.service, fleet.peak_active, fleet.wall_seconds,
@@ -52,8 +48,7 @@ def test_service_session_throughput(
 
     lines = [
         "Service throughput: N concurrent guest sessions, one WitnessService",
-        f"(one warm model set shared by all sessions; N={n}; "
-        f"executor={executor_mode}; inference={inference_mode})",
+        f"(one warm model set shared by all sessions; N={n})",
         "",
         f"{'mode':<12} {'sessions':>8} {'certified':>9} {'peak':>5} "
         f"{'wall (s)':>9} {'sess/s':>8} {'cache hit':>9}",
@@ -68,8 +63,6 @@ def test_service_session_throughput(
     record_metrics(
         "service_throughput",
         {
-            "executor": executor_mode,
-            "inference": inference_mode,
             "sessions": n,
             "sessions_per_sec_sequential": round(
                 stats["sequential"]["sessions_per_sec"], 2

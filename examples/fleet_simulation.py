@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Fleet simulation: a mixed crowd of guests through the shared runtime.
+"""Fleet simulation: a mixed crowd of guests through one witness service.
 
-One :class:`WitnessService` in ``executor="shared"`` mode witnesses a
-whole fleet at once: honest guests filling three different forms, one
-guest whose display is tampered mid-session, and one guest that abandons
-without submitting.  Every session's validation rounds coalesce in the
-cross-session micro-batching runtime, so the fleet costs far fewer model
-forwards than the guests would individually — and the tampered guest
-still fails alone, because batching shares *execution*, never verdicts.
+One :class:`WitnessService` witnesses a whole fleet at once: honest
+guests filling three different forms, one guest whose display is
+tampered mid-session, and one guest that abandons without submitting.
+Each guest runs on its own thread and its session validates inline on
+that thread; the service shares only the warm models and the digest
+cache.  The tampered guest fails alone, and the fleet's stats come from
+one place: ``service.telemetry()``.
 
 Run:  python examples/fleet_simulation.py
 """
@@ -66,15 +66,7 @@ def drive_guest(index, client):
 
 
 def main() -> None:
-    config = WitnessConfig(
-        batched=True,
-        executor="shared",
-        runtime_max_batch_units=256,
-        runtime_flush_deadline_ms=2.0,
-        runtime_max_inflight_units=8192,
-        runtime_admission="block",
-    )
-    site = WitnessedSite(config=config)
+    site = WitnessedSite(config=WitnessConfig(batched=True, tracing=True))
     for seed in FORMS:
         site.register_page(f"form-{seed}", jotform_page(seed))
 
@@ -95,21 +87,12 @@ def main() -> None:
             )
             print(f"  guest {index:>2} [{scenario:<9}] {verdict}")
 
-        stats = service.runtime_stats()
-        runtime = stats["runtime"]
-        counters = runtime["counters"]
-        occupancy = runtime["histograms"]["batch_occupancy.text"]
-        print(f"\nsessions         : {stats['sessions']}")
-        print(f"cache hit rate   : {stats['cache_hit_rate']:.1%}")
-        print(
-            f"runtime          : {counters.get('submissions_total.text', 0)} text rounds "
-            f"coalesced into {counters.get('flushes_total.text', 0)} flushes "
-            f"(mean occupancy {occupancy['mean']:.1f} units)"
+        forwards = sum(
+            client.witness.report.text_forwards + client.witness.report.image_forwards
+            for client in clients
         )
-        print(
-            f"forwards         : {runtime['forwards_total']} executed, "
-            f"{runtime['forwards_saved_total']} saved by cross-session batching"
-        )
+        print(f"\nmodel forwards: {forwards} across the fleet\n")
+        print(service.telemetry().describe())
 
     certified = sum(
         1 for _, _, decision in outcomes if decision is not None and decision.certified

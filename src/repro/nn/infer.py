@@ -28,9 +28,9 @@ executable:
   ``max``.
 * **Workspace arenas.**  All scratch (pad rings, im2col columns, GEMM
   outputs, pool temporaries) lives in a per-shape :class:`Workspace`,
-  keyed by input shape and reused across calls — the steady state of the
-  runtime's flusher threads, which replay the same micro-batch shapes all
-  day, allocates nothing.  Workspaces are thread-confined (one arena per
+  keyed by input shape and reused across calls — the steady state of a
+  verifier, which replays the same chunked batch shapes all day,
+  allocates nothing.  Workspaces are thread-confined (one arena per
   thread, LRU-evicted past ``max_shapes``), so frozen forwards need no
   inference lock at all.
 
@@ -78,17 +78,13 @@ from repro.nn.model import (
 )
 from repro.nn.tensorops import conv_output_size
 
-#: Valid ``WitnessConfig.inference`` modes.
-INFERENCE_MODES = ("frozen", "training")
-
 #: The one and only dtype of a frozen forward.
 INFER_DTYPE = np.float32
 
 #: Default bound on distinct input shapes cached per thread before LRU
-#: eviction.  Matcher traffic is shape-repetitive (chunked batches, the
-#: runtime's micro-batches), so a handful of slots covers the steady
-#: state while a session storm of odd shapes cannot grow memory without
-#: bound.
+#: eviction.  Matcher traffic is shape-repetitive (chunked batches), so
+#: a handful of slots covers the steady state while a session storm of
+#: odd shapes cannot grow memory without bound.
 DEFAULT_MAX_SHAPES = 8
 
 #: witness-san seam (see :mod:`repro.analysis.sanitizer`): the active
@@ -662,7 +658,7 @@ def frozen_twin(model, max_shapes: int = DEFAULT_MAX_SHAPES):
     """The memoized frozen twin of ``model`` (compiled once per instance).
 
     The twin is cached on the model object itself so every caller —
-    verifiers, the runtime executor, ``MatcherModel.predict``'s automatic
+    verifiers, ``MatcherModel.predict``'s automatic
     dispatch — shares one set of compiled weights.
     :func:`~repro.nn.serialize.load_model` invalidates the cache when it
     overwrites parameters in place.
@@ -698,30 +694,17 @@ def arena_stats(model) -> dict | None:
     return None if twin is None else twin.workspace_stats()
 
 
-def predict_fn(model, inference: str):
+def predict_fn(model):
     """Resolve the ``predict(observed, expected, chunk_size)`` callable a
-    consumer (verifier, runtime flusher) should feed unit inputs to.
+    verifier should feed unit inputs to: the memoized frozen twin's.
 
-    ``"frozen"`` routes through the memoized frozen twin; a model the
-    compiler does not understand (duck-typed test doubles, exotic
-    matchers) falls back to its own ``predict`` unchanged.
-    ``"training"`` forces the layer-by-layer path, explicitly bypassing
-    any attached twin on the real matcher classes.
+    A model the compiler does not understand (duck-typed test doubles,
+    exotic matchers) falls back to its own ``predict`` unchanged.
     """
-    if inference not in INFERENCE_MODES:
-        raise ValueError(f"inference must be one of {INFERENCE_MODES}, got {inference!r}")
-    if inference == "frozen":
-        try:
-            return frozen_twin(model).predict
-        except TypeError:
-            return model.predict
-    if isinstance(model, (MatcherModel, ChannelPairMatcher)):
-
-        def training_predict(observed, expected, chunk_size=PREDICT_CHUNK):
-            return model.predict(observed, expected, chunk_size, frozen=False)
-
-        return training_predict
-    return model.predict
+    try:
+        return frozen_twin(model).predict
+    except TypeError:
+        return model.predict
 
 
 def fail_closed_verdicts(raw) -> np.ndarray:

@@ -1,15 +1,14 @@
-"""Runtime observability: counters, gauges and histograms.
+"""Metric instruments: counters, gauges and histograms.
 
-A :class:`RuntimeMetrics` registry is the single observability surface of
-the validation runtime (:mod:`repro.runtime.executor`).  It is deliberately
+A :class:`RuntimeMetrics` registry holds the service's frame-span
+latency histograms (:mod:`repro.obs.spans`).  It is deliberately
 Prometheus-shaped — monotonic counters, point-in-time gauges, bucketed
 histograms — so a deployment can lift :meth:`RuntimeMetrics.snapshot`
 straight into its metrics endpoint, but it has no external dependencies:
 instruments are plain objects sharing one lock.
 
-Instrument names are dotted paths (``flushes_total.text``,
-``batch_occupancy.image``); the per-kind suffix keeps the two model kinds
-separately observable without a label system.
+Instrument names are dotted paths (``span_ms.frame.locate``,
+``span_ms.forward.text``).
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 import threading
 
 #: Default histogram bucket upper bounds.  Chosen to cover both unit
-#: counts (batch occupancy: 1..thousands) and millisecond latencies
-#: (flush waits: sub-ms..seconds) without per-instrument tuning.
+#: counts (1..thousands) and millisecond latencies (sub-ms..seconds)
+#: without per-instrument tuning.
 DEFAULT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
 
@@ -152,9 +151,9 @@ class Histogram:
 class RuntimeMetrics:
     """Create-or-get registry of named instruments with one atomic snapshot.
 
-    One registry belongs to one :class:`~repro.runtime.executor.\
-ValidationExecutor`; :meth:`repro.core.service.WitnessService.runtime_stats`
-    surfaces its :meth:`snapshot`.
+    One registry belongs to one service's traced sessions;
+    :meth:`repro.core.service.WitnessService.telemetry` surfaces its span
+    histograms.
     """
 
     def __init__(self) -> None:

@@ -2,15 +2,15 @@
 
 A sampled frame flows ``frame.sample`` → ``frame.diff`` →
 ``frame.locate`` → ``frame.pof`` → ``frame.track`` → ``plan.collect`` →
-``plan.execute`` → per-kind ``forward.*`` / ``runtime.submit.*`` /
-``flush.wait.*`` → ``verdict.scatter`` → ``frame.background``.  A
+``plan.execute`` → per-kind ``forward.*`` → ``verdict.scatter`` →
+``frame.background``.  A
 :class:`SpanTracer` times each stage with :func:`time.perf_counter`
 (wall time never enters a verdict or fingerprint) and records two
 things per span:
 
-* an observation into a per-stage latency :class:`~repro.runtime.\
-metrics.Histogram` (shared service-wide, so percentiles aggregate over
-  every traced session), and
+* an observation into a per-stage latency
+  :class:`~repro.obs.metrics.Histogram` (shared service-wide, so
+  percentiles aggregate over every traced session), and
 * a span record ``{stage, parent, ms, thread}`` appended to the current
   :class:`FrameTrace` — the flight-recorder evidence unit.
 
@@ -27,14 +27,11 @@ Design constraints, in order:
    no caches, no RNG.  The soak harness asserts fingerprints are
    bit-identical with tracing on vs off.
 3. **Thread safety without a hot lock.**  Span *stacks* (for parentage)
-   are thread-local per tracer: the session thread and the runtime pool
-   thread executing the image side of the same plan each nest within
-   their own stack.  A span opened on a thread with an empty stack
-   parents to the synthetic root ``"frame"`` — so cross-thread spans
-   (the image plan on a pool worker) appear as children of the frame,
-   which is where they belong.  Appends to the shared
-   ``FrameTrace.spans`` list are atomic under the GIL; histogram
-   observations take the metrics registry's own data lock.
+   are thread-local per tracer, so a span opened on a thread with an
+   empty stack parents to the synthetic root ``"frame"``.  Appends to
+   the shared ``FrameTrace.spans`` list are atomic under the GIL;
+   histogram observations take the metrics registry's own data lock,
+   which concurrent sessions of one service share.
 """
 
 from __future__ import annotations
@@ -42,18 +39,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.analysis import hot_path
-
-if TYPE_CHECKING:  # import-light on purpose: the runtime's hot path
-    # (batcher/executor) imports maybe_span, and repro.runtime's package
-    # init imports the batcher — a real metrics import here would cycle.
-    from repro.runtime.metrics import RuntimeMetrics
+from repro.obs.metrics import RuntimeMetrics
 
 #: Bucket bounds (milliseconds) for per-stage span latency histograms.
-#: Finer at the bottom than the runtime's flush buckets: stages like
-#: ``verdict.scatter`` routinely finish in tens of microseconds.
+#: Finer at the bottom than the metrics registry's default buckets:
+#: stages like ``verdict.scatter`` routinely finish in tens of
+#: microseconds.
 SPAN_BUCKETS_MS = (0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000)
 
 #: The synthetic root stage every top-level span parents to.
@@ -76,10 +69,6 @@ STAGES = (
     "plan.execute",
     "forward.text",
     "forward.image",
-    "runtime.submit.text",
-    "runtime.submit.image",
-    "flush.wait.text",
-    "flush.wait.image",
     "verdict.scatter",
     "frame.background",
 )
@@ -200,7 +189,7 @@ class SpanTracer:
     def __init__(
         self,
         session_id: int,
-        metrics: "RuntimeMetrics",
+        metrics: RuntimeMetrics,
         recorder=None,
         cache=None,
     ) -> None:
@@ -297,7 +286,7 @@ class SpanTracer:
         return trace
 
 
-def span_snapshots(metrics: "RuntimeMetrics | None") -> dict:
+def span_snapshots(metrics: RuntimeMetrics | None) -> dict:
     """Per-stage histogram snapshots keyed by stage name.
 
     Strips the ``span_ms.`` instrument prefix; returns ``{}`` when no

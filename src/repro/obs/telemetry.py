@@ -1,20 +1,18 @@
 """The telemetry hub: one namespaced snapshot of every stats island.
 
-Observability grew organically, one island per subsystem:
-``RuntimeMetrics`` sees only the shared executor, arena stats live on
-the frozen twins (:mod:`repro.nn.infer`), transport-pool stats in
+Observability grew organically, one island per subsystem: arena stats
+live on the frozen twins (:mod:`repro.nn.infer`), transport-pool stats in
 :mod:`repro.core.planbuf`, cache accounting on the
 :class:`~repro.core.caches.DigestCache`, session counters in the
 :class:`~repro.core.service.SessionRegistry`, span latencies in the span
 metrics.  :func:`build_snapshot` federates them into one
 :class:`TelemetrySnapshot` with stable namespaces::
 
-    service   executor/inference/batched/caching/tracing knobs
+    service   batched/caching/tracing knobs
     sessions  registry counters (active/total_opened/peak_active)
     cache     DigestCache stats (entries/hits/misses/evictions/hit_rate)
-    runtime   executor metrics (counters/gauges/histograms), or None
-    health    degradation-ladder state (healthy/degraded/failed, crash/
-              restart/quarantine counters, fault-injector arming)
+    health    healthy/degraded state, quarantined sessions, fault-injector
+              arming and fire count
     faults    fault-injector schedule accounting (per-point calls/fires),
               or None when no FaultPlan is armed
     spans     per-stage latency histograms incl. p50/p95/p99, or {}
@@ -27,6 +25,9 @@ Exports: :meth:`~TelemetrySnapshot.to_json` (stable, sorted keys),
 scalars as gauges, histograms as cumulative ``_bucket``/``_sum``/
 ``_count`` series), and :meth:`~TelemetrySnapshot.describe` (human
 summary; also behind ``python -m repro.obs``).
+
+``WitnessService.health()`` and ``WitnessService.runtime_stats()`` are
+views over sections of this snapshot, not separate stats surfaces.
 
 CONTRIBUTING rule: a new subsystem that keeps stats must surface them
 through a namespace here — islands don't get rediscovered by operators.
@@ -146,7 +147,7 @@ class TelemetrySnapshot:
         s = self.sections
         lines = [
             "repro telemetry",
-            "  service: executor={executor} inference={inference} batched={batched} "
+            "  service: batched={batched} caching={caching} "
             "tracing={tracing}".format(**s["service"]),
             "  sessions: active={active} opened={total_opened} peak={peak_active}".format(
                 **s["sessions"]
@@ -175,13 +176,6 @@ class TelemetrySnapshot:
             lines.append(
                 "  flight: {frames}/{capacity} frames buffered, {recorded} recorded, "
                 "{evicted} evicted, {dumps} dumps".format(**flight)
-            )
-        runtime = s.get("runtime")
-        if runtime:
-            lines.append(
-                "  runtime: forwards={forwards_total} saved={forwards_saved_total}".format(
-                    **runtime
-                )
             )
         health = s.get("health")
         if health:
@@ -229,26 +223,27 @@ def build_snapshot(service) -> TelemetrySnapshot:
     The implementation of :meth:`repro.core.service.WitnessService.telemetry`.
     """
     cfg = service.config
-    runtime = service.runtime
     cache = service.shared_cache
     recorder = service.flight_recorder
+    faults = (
+        service.fault_injector.snapshot() if service.fault_injector is not None else None
+    )
+    quarantined = service.quarantined_sessions
     sections = {
         "service": {
-            "executor": cfg.executor,
-            "inference": cfg.inference,
             "batched": cfg.batched,
             "caching": cfg.caching,
             "tracing": cfg.tracing,
         },
         "sessions": service.registry.stats(),
         "cache": cache.stats() if cache is not None else None,
-        "runtime": runtime.stats() if runtime is not None else None,
-        "health": service.health(),
-        "faults": (
-            service.fault_injector.snapshot()
-            if service.fault_injector is not None
-            else None
-        ),
+        "health": {
+            "state": "degraded" if quarantined else "healthy",
+            "quarantined_sessions": quarantined,
+            "faults_armed": faults is not None,
+            "faults_injected": faults["total_fired"] if faults is not None else 0,
+        },
+        "faults": faults,
         "spans": span_snapshots(service.span_metrics),
         "flight": recorder.stats() if recorder is not None else None,
         "arenas": _arena_section(service.text_model, service.image_model),

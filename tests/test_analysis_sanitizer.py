@@ -2,8 +2,8 @@
 
 Unit tests drive the sanitizer against synthetic lock/pool shapes (the
 test module is added to the tracked prefixes so locks created *here*
-are wrapped); the integration tests drive real runtime objects and a
-small soak slice, asserting the recorded orderings stay inside the
+are wrapped); the integration tests drive an 8-thread inline fleet of
+real witness sessions, asserting the recorded orderings stay inside the
 static model and that arming changes **nothing** about verdicts
 (bit-identical session fingerprints with the sanitizer on vs off).
 
@@ -179,30 +179,13 @@ class TestStaticModelCrossCheck:
         for pair in DECLARED_LOCK_ORDER:
             assert tuple(pair) in model
 
-    def test_runtime_orderings_stay_inside_model(self):
-        """Drive the real micro-batcher + metrics under the sanitizer."""
-        import numpy as np
-
-        from repro.runtime.batcher import MicroBatcher
-        from repro.runtime.metrics import RuntimeMetrics
-
+    def test_runtime_orderings_stay_inside_model(self, text_model, image_model):
+        """Drive an 8-thread inline fleet (tracing on, so the span
+        metrics locks join the cache and registry locks) under the
+        sanitizer: every observed ordering is inside the static model."""
         with sanitizer.sanitized() as state:
-            metrics = RuntimeMetrics()
-            batcher = MicroBatcher(
-                "text",
-                lambda obs, exp, *a, **k: np.zeros(obs.shape[0], dtype=np.float32),
-                max_batch_units=8,
-                flush_deadline=0.001,
-                metrics=metrics,
-            )
-            try:
-                obs = np.zeros((3, 1, 16, 16), dtype=np.float32)
-                exp = np.zeros((3, 8), dtype=np.float32)
-                for _ in range(4):
-                    batcher.submit(obs, exp)
-            finally:
-                batcher.close()
-        assert state.pairs, "expected the batcher to exercise lock nesting"
+            _drive_fleet(text_model, image_model, tracing=True)
+        assert state.summary()["acquires"] > 0
         assert state.check() == []
 
 
@@ -211,42 +194,41 @@ class TestSoakParity:
         self, text_model, image_model
     ):
         """The tentpole acceptance gate: arming witness-san changes no
-        verdict bit.  A two-scenario slice runs on the shared executor
-        with two driver threads (real flusher + admission concurrency),
-        once disarmed and once armed; session fingerprints must match
-        exactly and the armed run must stay violation-free."""
+        verdict bit.  An 8-thread inline fleet runs once disarmed and
+        once armed; session fingerprints must match exactly and the
+        armed run must stay violation-free."""
         fingerprints = {}
         for armed in (False, True):
             if armed:
                 with sanitizer.sanitized() as state:
-                    fingerprints[armed] = _drive_slice(text_model, image_model)
+                    fingerprints[armed] = _drive_fleet(text_model, image_model)
                 problems = state.check()
                 assert problems == [], problems
                 assert state.summary()["acquires"] > 0
             else:
-                fingerprints[armed] = _drive_slice(text_model, image_model)
+                fingerprints[armed] = _drive_fleet(text_model, image_model)
         assert fingerprints[True] == fingerprints[False]
 
 
-def _drive_slice(text_model, image_model) -> dict:
-    """Two scenarios through a shared-executor service, two threads."""
+#: Seeds of the fleet's honest letterbox scenarios: one per driver thread.
+FLEET_SEEDS = range(8)
+
+
+def _drive_fleet(text_model, image_model, tracing: bool = False) -> dict:
+    """Eight honest scenarios through one inline service, eight threads."""
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.service import WitnessService
     from repro.crypto import CertificateAuthority
-    from repro.scenarios import ScenarioSpec, baseline_combo, run_scenario
+    from repro.scenarios import ENGINE_COMBOS, ScenarioSpec, run_scenario
 
-    combo = baseline_combo("shared", "frozen")
     service = WitnessService(
         CertificateAuthority(),
-        combo.config(None),
+        ENGINE_COMBOS[0].config().replace(tracing=tracing),
         text_model=text_model,
         image_model=image_model,
     )
-    specs = [
-        ScenarioSpec("tall-form", script="honest"),
-        ScenarioSpec("dashboard", script="honest"),
-    ]
+    specs = [ScenarioSpec("letterbox", seed=seed) for seed in FLEET_SEEDS]
     results = {}
 
     def drive(spec):
@@ -254,6 +236,6 @@ def _drive_slice(text_model, image_model) -> dict:
         results[spec.key] = outcome.fingerprint
 
     with service:
-        with ThreadPoolExecutor(max_workers=2) as pool:
+        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
             list(pool.map(drive, specs))
     return results

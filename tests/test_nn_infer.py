@@ -2,10 +2,11 @@
 
 Covers the PR-4 tentpole guarantees:
 
-* decision parity between the frozen and training forward paths, both at
-  the model level (randomized honest/tampered matcher inputs through
-  trained models) and at the verifier level (frame-style unit inputs
-  through ``inference="frozen"`` vs ``"training"`` verifiers);
+* decision parity between the frozen twin and the training forward
+  (``predict(..., frozen=False)``) at the model level: randomized
+  matcher inputs through fresh models, and randomized honest/tampered
+  frame-style unit inputs through the trained zoo models, batched and
+  one unit at a time;
 * workspace arenas: shape-keyed reuse (repeated shapes allocate
   nothing), thread confinement (one arena per thread), LRU eviction
   under a shape storm;
@@ -21,9 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.nn.data import CHARSET
+from repro.nn.data import CHAR_TO_INDEX, CHARSET, collapse_char
 from repro.nn.infer import (
-    INFERENCE_MODES,
     FrozenMatcher,
     FrozenNet,
     FrozenPairMatcher,
@@ -127,14 +127,20 @@ class TestForwardParity:
             freeze(Weird())
 
 
-class TestDecisionParityProperty:
-    """Randomized honest/tampered frames through both engine paths."""
+def _onehot(chars) -> np.ndarray:
+    rows = np.zeros((len(chars), len(CHARSET)), dtype=np.float32)
+    for row, char in enumerate(chars):
+        rows[row, CHAR_TO_INDEX[collapse_char(char)]] = 1.0
+    return rows
 
-    def test_verifier_verdicts_identical(self, text_model, image_model):
+
+class TestDecisionParityProperty:
+    """Randomized honest/tampered unit inputs: frozen twin vs training forward."""
+
+    def test_trained_model_verdicts_identical(self, text_model, image_model):
         """Property: for randomized honest and tampered unit inputs, the
-        frozen and training verifiers return the same verdict for every
-        unit, across many seeds."""
-        from repro.core.verifiers import ImageVerifier, TextVerifier
+        frozen twin and the training forward of the trained matchers
+        return the same verdict for every unit, across many seeds."""
         from repro.nn.data import image_dataset, text_dataset
         from repro.raster.fonts import font_registry
         from repro.raster.stacks import stack_registry
@@ -142,58 +148,48 @@ class TestDecisionParityProperty:
         stacks = stack_registry()[:2]
         obs, exp, _ = text_dataset(font_registry()[:2], stacks=stacks, seed=21)
         rng = np.random.default_rng(21)
+        text_twin = frozen_twin(text_model)
         for trial in range(6):
             pick = rng.choice(obs.shape[0], size=40, replace=False)
-            tiles = [np.asarray(obs[i, 0] * 255.0) for i in pick]
+            tiles = obs[pick].astype(np.float32) * 255.0
             # Tamper a random half of the tiles with pixel noise.
             tampered = rng.random(len(tiles)) < 0.5
             for j, is_tampered in enumerate(tampered):
                 if is_tampered:
                     noise = rng.normal(0, 90, tiles[j].shape)
                     tiles[j] = np.clip(tiles[j] + noise, 0, 255)
-            chars = [CHARSET[int(i) % len(CHARSET)] for i in pick]
-            frozen_v = TextVerifier(text_model, batched=True, inference="frozen")
-            training_v = TextVerifier(text_model, batched=True, inference="training")
+            tiles /= 255.0
+            onehot = _onehot([CHARSET[int(i) % len(CHARSET)] for i in pick])
             assert np.array_equal(
-                frozen_v.verify_tiles(tiles, chars), training_v.verify_tiles(tiles, chars)
+                text_twin.predict(tiles, onehot),
+                text_model.predict(tiles, onehot, frozen=False),
             ), f"text verdicts diverged on trial {trial}"
 
         obs_i, exp_i, _ = image_dataset(stacks=stacks, seed=22)
+        image_twin = frozen_twin(image_model)
         for trial in range(4):
             pick = rng.choice(obs_i.shape[0], size=24, replace=False)
-            pairs = [
-                (np.asarray(obs_i[i, 0] * 255.0), np.asarray(exp_i[i, 0] * 255.0))
-                for i in pick
-            ]
-            frozen_v = ImageVerifier(image_model, batched=True, inference="frozen")
-            training_v = ImageVerifier(image_model, batched=True, inference="training")
+            observed = obs_i[pick].astype(np.float32)
+            expected = exp_i[pick].astype(np.float32)
             assert np.array_equal(
-                frozen_v.verify_pairs(pairs), training_v.verify_pairs(pairs)
+                image_twin.predict(observed, expected),
+                image_model.predict(observed, expected, frozen=False),
             ), f"image verdicts diverged on trial {trial}"
 
-    def test_sequential_mode_verdicts_identical(self, text_model):
-        from repro.core.verifiers import TextVerifier
+    def test_single_unit_verdicts_identical(self, text_model):
+        """One unit per forward (the sequential engine's shape) agrees too."""
         from repro.nn.data import text_dataset
         from repro.raster.fonts import font_registry
 
         obs, _exp, _ = text_dataset(font_registry()[:1], seed=23)
-        tiles = [np.asarray(obs[i, 0] * 255.0) for i in range(12)]
-        chars = [CHARSET[i % len(CHARSET)] for i in range(12)]
-        frozen_v = TextVerifier(text_model, batched=False, inference="frozen")
-        training_v = TextVerifier(text_model, batched=False, inference="training")
-        assert np.array_equal(
-            frozen_v.verify_tiles(tiles, chars), training_v.verify_tiles(tiles, chars)
-        )
-
-    def test_session_decisions_identical(self, text_model, image_model):
-        """A full witnessed session certifies identically on both engines."""
-        from benchmarks.harness import run_interactive_session
-
-        for inference in INFERENCE_MODES:
-            decision, report, _ = run_interactive_session(
-                0, text_model, image_model, batched=True, inference=inference
-            )
-            assert decision.certified, f"inference={inference!r} failed to certify"
+        tiles = obs[:12].astype(np.float32)
+        onehot = _onehot([CHARSET[i % len(CHARSET)] for i in range(12)])
+        twin = frozen_twin(text_model)
+        for j in range(12):
+            assert np.array_equal(
+                twin.predict(tiles[j : j + 1], onehot[j : j + 1]),
+                text_model.predict(tiles[j : j + 1], onehot[j : j + 1], frozen=False),
+            ), f"verdicts diverged on unit {j}"
 
 
 class TestWorkspaceArena:
@@ -258,26 +254,6 @@ class TestWorkspaceArena:
         assert len(obs_arenas) >= 4
         threads = [a["thread"] for a in obs_arenas]
         assert len(threads) == len(set(threads))
-
-    def test_runtime_flusher_threads_get_own_workspaces(self):
-        """Shared-runtime flushes run on dedicated flusher threads: after
-        traffic, the frozen twin's arenas are exactly the flusher's (the
-        submitting thread only enqueues).  Fresh models keep the twin's
-        arena registry hermetic — the zoo fixtures' twins accumulate (and
-        prune) arenas from earlier suite activity."""
-        from repro.runtime.executor import ValidationExecutor
-
-        text_model = build_text_matcher(seed=7)
-        image_model = build_image_matcher(seed=11)
-        executor = ValidationExecutor(text_model, image_model, inference="frozen")
-        rng = np.random.default_rng(11)
-        obs, exp = _rand_text_inputs(rng, 8)
-        obs_i, exp_i = _rand_image_inputs(rng, 6)
-        with executor:
-            executor.predict("text", obs, exp)
-            executor.predict("image", obs_i, exp_i)
-        arenas = frozen_twin(text_model).workspace_stats()["observed"]
-        assert len(arenas) == 1 and "flusher" in arenas[0]["thread"]
 
 
 class TestConstantFolding:
@@ -375,14 +351,11 @@ class TestFreezeLifecycle:
         assert isinstance(text_model.__dict__["_frozen_twin"], FrozenMatcher)
         assert isinstance(image_model.__dict__["_frozen_twin"], FrozenPairMatcher)
 
-    def test_predict_fn_modes(self, text_model):
-        with pytest.raises(ValueError, match="inference must be one of"):
-            predict_fn(text_model, "bogus")
+    def test_predict_fn_matches_training_forward(self, text_model):
+        fn = predict_fn(text_model)
+        assert fn == frozen_twin(text_model).predict
         obs, exp = _rand_text_inputs(np.random.default_rng(19), 4)
-        assert np.array_equal(
-            predict_fn(text_model, "frozen")(obs, exp),
-            predict_fn(text_model, "training")(obs, exp),
-        )
+        assert np.array_equal(fn(obs, exp), text_model.predict(obs, exp, frozen=False))
 
     def test_serialize_refuses_frozen_and_invalidates_on_load(self, tmp_path):
         model = build_text_matcher(seed=7)
@@ -407,10 +380,8 @@ class TestFreezeLifecycle:
             rebuilt.forward(obs, exp), model.forward(obs, exp), rtol=1e-4, atol=1e-5
         )
 
-    def test_witness_config_validates_inference(self):
-        from repro.core.service import WitnessConfig
-
-        assert WitnessConfig().inference == "frozen"
-        WitnessConfig(inference="training")
-        with pytest.raises(ValueError, match="inference"):
-            WitnessConfig(inference="compiled")
+    def test_image_predict_fn_matches_training_forward(self, image_model):
+        fn = predict_fn(image_model)
+        assert fn == frozen_twin(image_model).predict
+        obs, exp = _rand_image_inputs(np.random.default_rng(24), 6)
+        assert np.array_equal(fn(obs, exp), image_model.predict(obs, exp, frozen=False))

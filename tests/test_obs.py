@@ -16,6 +16,9 @@ import json
 import re
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 from repro.core.caches import DigestCache
 from repro.core.service import WitnessConfig, WitnessService
@@ -30,10 +33,40 @@ from repro.obs import (
     maybe_span,
     span_snapshots,
 )
-from repro.runtime import RuntimeMetrics
-from repro.runtime.metrics import Histogram
+from repro.obs.metrics import Histogram, RuntimeMetrics
 from repro.scenarios.soak import run_scenario
 from repro.scenarios.spec import ScenarioSpec
+
+
+# -- metric instruments ----------------------------------------------------
+
+
+class TestMetrics:
+    def test_counter_gauge_histogram(self):
+        metrics = RuntimeMetrics()
+        metrics.counter("c").inc()
+        metrics.counter("c").inc(4)
+        metrics.gauge("g").set(3.5)
+        metrics.gauge("g").add(-1.5)
+        hist = metrics.histogram("h", buckets=(1, 10))
+        for v in (0.5, 5, 100):
+            hist.observe(v)
+        snap = metrics.snapshot()
+        assert snap["counters"]["c"] == 5
+        assert snap["gauges"]["g"] == 2.0
+        h = snap["histograms"]["h"]
+        assert h["count"] == 3 and h["min"] == 0.5 and h["max"] == 100
+        assert h["buckets"] == {"le_1": 1, "le_10": 1, "le_inf": 1}
+        assert h["mean"] == pytest.approx((0.5 + 5 + 100) / 3)
+
+    def test_counters_only_go_up(self):
+        with pytest.raises(ValueError, match="only go up"):
+            RuntimeMetrics().counter("c").inc(-1)
+
+    def test_instruments_are_create_or_get(self):
+        metrics = RuntimeMetrics()
+        assert metrics.counter("x") is metrics.counter("x")
+        assert metrics.histogram("y") is metrics.histogram("y")
 
 
 # -- histogram percentiles -------------------------------------------------
@@ -226,14 +259,6 @@ def test_tracing_preserves_fingerprint(text_model, image_model):
     assert on.fingerprint == off.fingerprint
 
 
-def test_tracing_preserves_fingerprint_shared_executor(text_model, image_model):
-    off, _ = _run(
-        SMALL_SPEC, text_model, image_model, executor="shared", tracing=False
-    )
-    on, _ = _run(SMALL_SPEC, text_model, image_model, executor="shared", tracing=True)
-    assert on.fingerprint == off.fingerprint
-
-
 def test_traced_session_produces_canonical_spans(text_model, image_model):
     outcome, service = _run(SMALL_SPEC, text_model, image_model, tracing=True)
     snaps = span_snapshots(service.span_metrics)
@@ -277,22 +302,24 @@ def test_frame_stages_recorded_once_per_validated_frame(text_model, image_model)
         assert stages["frame.pof"] == stages["frame.track"] == stages["frame.locate"] <= 1
 
 
-def test_traced_spans_thread_confinement_shared_executor(text_model, image_model):
-    _, service = _run(
-        SMALL_SPEC, text_model, image_model, executor="shared", tracing=True
+def test_traced_spans_stay_on_their_session_thread(text_model, image_model):
+    # Four sessions trace concurrently into one service: every frame's
+    # spans come from the thread that drove that frame's session, and
+    # parent only within the canonical taxonomy.
+    cfg = WitnessConfig(batched=True, tracing=True, flight_frames=512)
+    service = WitnessService(
+        CertificateAuthority(), cfg, text_model=text_model, image_model=image_model
     )
-    recorder = service.flight_recorder
-    session_thread = threading.current_thread().name
-    cross = [
-        span
-        for frame in recorder.snapshot()
-        for span in frame["spans"]
-        if span["thread"] != session_thread
-    ]
-    # Any span recorded off the session thread started from an empty
-    # thread-local stack and must parent to the synthetic root.
-    for span in cross:
-        assert span["parent"] == ROOT_STAGE
+    specs = [SMALL_SPEC.with_seed(seed) for seed in range(4)]
+    with service, ThreadPoolExecutor(max_workers=4) as pool:
+        outcomes = list(pool.map(lambda spec: run_scenario(spec.build(), service), specs))
+    frames = service.flight_recorder.snapshot()
+    assert len(frames) == sum(o.frames for o in outcomes)
+    for frame in frames:
+        threads = {span["thread"] for span in frame["spans"]}
+        assert len(threads) == 1, threads
+        for span in frame["spans"]:
+            assert span["parent"] in STAGES
 
 
 def test_untraced_service_has_no_obs_state(text_model, image_model):
@@ -361,17 +388,26 @@ def test_rejected_decision_dumps_flight_artifact(text_model, image_model, tmp_pa
 # -- telemetry hub ---------------------------------------------------------
 
 
-def test_runtime_stats_sections_without_executor(text_model, image_model):
-    # Inline config: the shared executor is never built, but session and
-    # cache stats still merge into runtime_stats().
+def test_stats_views_agree_with_telemetry(text_model, image_model):
+    # runtime_stats() and health() are views over telemetry(): on a
+    # quiescent service both equal the sections they are built from.
     _, service = _run(SMALL_SPEC, text_model, image_model, tracing=False)
+    snap = service.telemetry()
     stats = service.runtime_stats()
+    assert stats == {key: snap[key] for key in ("sessions", "cache", "health")}
+    assert service.health() == snap["health"]
     assert stats["sessions"]["total_opened"] >= 1
     assert stats["cache"]["hits"] == service.shared_cache.hits
     assert set(stats["cache"]) == {
         "entries", "capacity", "hits", "misses", "evictions", "hit_rate",
     }
-    assert stats["runtime"] is None
+    assert snap["health"] == {
+        "state": "healthy",
+        "quarantined_sessions": 0,
+        "faults_armed": False,
+        "faults_injected": 0,
+    }
+    assert "runtime" not in snap.as_dict()
 
 
 def test_telemetry_snapshot_sections_and_json(text_model, image_model):

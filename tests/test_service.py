@@ -6,12 +6,13 @@ per-session teardown hygiene, event hooks, and the namespaced
 cross-session digest cache.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.caches import DigestCache
-from repro.core.service import WitnessConfig, WitnessService
+from repro.core.service import SessionRegistry, WitnessConfig, WitnessService
 from repro.core.session import install_vwitness
 from repro.crypto import CertificateAuthority
 from repro.server import WebServer, WitnessedSite
@@ -26,6 +27,15 @@ def make_site(text_model, image_model, **config_overrides) -> WitnessedSite:
     site = WitnessedSite(config=config, text_model=text_model, image_model=image_model)
     site.register_page("transfer", make_transfer_page())
     return site
+
+
+def _drive(pair):
+    index, client = pair
+    user = HonestUser(client.browser)
+    user.fill_text_input("recipient", f"ACC-{index}")
+    user.fill_text_input("amount", str(10 + index))
+    user.toggle_checkbox("confirm", True)
+    return client.submit()
 
 
 class TestMultiSession:
@@ -88,16 +98,8 @@ class TestMultiSession:
         assert site.service.registry.peak_active >= 8
         assert site.service.active_sessions == 8
 
-        def drive(pair):
-            index, client = pair
-            user = HonestUser(client.browser)
-            user.fill_text_input("recipient", f"ACC-{index}")
-            user.fill_text_input("amount", str(10 + index))
-            user.toggle_checkbox("confirm", True)
-            return client.submit()
-
         with ThreadPoolExecutor(max_workers=8) as pool:
-            decisions = list(pool.map(drive, enumerate(clients)))
+            decisions = list(pool.map(_drive, enumerate(clients)))
 
         assert all(d.certified for d in decisions), [d.reason for d in decisions]
         bodies = [d.request.body["recipient"] for d in decisions]
@@ -380,6 +382,53 @@ class TestLifecycle:
         b.submit()
         assert site.service.registry.active_count == 0
         assert site.service.registry.peak_active == 2
+
+
+class TestSessionChurn:
+    def test_many_short_lived_concurrent_sessions(self, text_model, image_model):
+        """Stress: waves of short sessions on worker threads, one service."""
+        site = make_site(text_model, image_model)
+        with site.service:
+            decisions = []
+            for _wave in range(3):  # short-lived: sessions open and die in waves
+                clients = [site.connect("transfer") for _ in range(6)]
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    decisions.extend(pool.map(_drive, enumerate(clients)))
+            assert all(d.certified for d in decisions), [d.reason for d in decisions]
+            assert site.service.runtime_stats()["sessions"] == {
+                "active": 0,
+                "total_opened": 18,
+                "peak_active": 6,
+            }
+
+
+class TestRegistryStats:
+    def test_stats_snapshot_is_consistent_under_churn(self):
+        registry = SessionRegistry()
+
+        class StubSession:
+            id = 0
+
+        def churn():
+            for _ in range(200):
+                session = StubSession()
+                session.id = registry.register(session)
+                snap = registry.stats()
+                # A snapshot can never tear: every opened session is
+                # either active or was active before this peak.
+                assert snap["peak_active"] >= snap["active"]
+                assert snap["total_opened"] >= snap["active"]
+                registry.unregister(session)
+
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        final = registry.stats()
+        assert final == {"active": 0, "total_opened": 800, "peak_active": final["peak_active"]}
+        assert registry.total_opened == 800
+        assert 1 <= registry.peak_active <= 4
 
 
 class TestCacheNamespacing:

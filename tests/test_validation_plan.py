@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.caches import DigestCache
 from repro.core.display import DisplayValidator
-from repro.core.verifiers import ImageVerifier, TextVerifier, ValidationPlan
+from repro.core.verifiers import ImageVerifier, TextVerifier, ValidationPlan, forwards_for
 from repro.datasets.forms import jotform_page
 from repro.server.generate import build_vspec
 from repro.raster.stacks import stack_registry
@@ -163,6 +163,12 @@ class TestPlanUnits:
         verdicts = verifier.verify_tiles([tile, tile, tile], ["Q", "Q", "Q"])
         assert verifier.invocations == 1
         assert len({bool(v) for v in verdicts}) == 1
+
+    def test_forwards_for(self):
+        assert forwards_for(0, 512) == 0
+        assert forwards_for(1, None) == 1
+        assert forwards_for(512, 512) == 1
+        assert forwards_for(513, 512) == 2
 
     def test_invalid_chunk_size_rejected(self, text_model):
         from repro.core.service import WitnessConfig
